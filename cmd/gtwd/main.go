@@ -47,8 +47,12 @@
 //
 //	gtwd [-addr :9191] [-lease-ttl 10s] [-local-shards 1]
 //	     [-cache 4096] [-cache-bytes 0] [-cache-entry-bytes 0]
-//	     [-jobs 4] [-poll 200ms] [-data-dir DIR] [-snapshot 1m]
+//	     [-jobs 4] [-data-dir DIR] [-snapshot 1m]
 //	     [-tenants tenants.json]
+//
+// Idle workers' lease requests are held until work appears; SIGINT or
+// SIGTERM ends them at once and journals interrupted jobs for the next
+// start.
 //
 // Then point workers and clients at it:
 //
@@ -94,7 +98,6 @@ func main() {
 	cacheEntryBytes := flag.Int("cache-entry-bytes", 0,
 		"largest single point result the store will keep, in bytes (0 = no cap)")
 	maxJobs := flag.Int("jobs", 4, "concurrently running jobs; further submissions queue FIFO")
-	poll := flag.Duration("poll", 200*time.Millisecond, "idle-poll interval hint for workers")
 	dataDir := flag.String("data-dir", "",
 		"journal coordinator state here (WAL + snapshots) and recover it on restart; empty = in-memory only")
 	snapshot := flag.Duration("snapshot", time.Minute,
@@ -128,7 +131,6 @@ func main() {
 
 	c := dist.New(dist.Config{
 		LeaseTTL:        *leaseTTL,
-		Poll:            *poll,
 		LocalShards:     *localShards,
 		ExecKernels:     *kernels,
 		ExecIntra:       *intra,

@@ -15,8 +15,11 @@
 //
 // Usage:
 //
-//	gtwworker -coordinator http://host:9191 [-id worker-a] [-poll 200ms]
+//	gtwworker -coordinator http://host:9191 [-id worker-a]
 //	          [-stream-window 0] [-stream-batch 16] [-token TOK]
+//
+// An idle worker does not poll: the coordinator holds its lease request
+// until work appears, so a new job's first lease reaches it at once.
 //
 // By default every finished point streams in its own upload. A
 // -stream-window coalesces points finishing within the window into one
@@ -36,7 +39,6 @@ import (
 	"log"
 	"os/signal"
 	"syscall"
-	"time"
 
 	_ "repro" // register every scenario
 
@@ -48,8 +50,6 @@ func main() {
 	log.SetPrefix("gtwworker: ")
 	coord := flag.String("coordinator", "http://127.0.0.1:9191", "coordinator base URL")
 	id := flag.String("id", "", "sticky worker ID (default: random, kept for the process lifetime)")
-	poll := flag.Duration("poll", 200*time.Millisecond,
-		"idle-poll interval (the coordinator's register reply overrides it)")
 	streamWindow := flag.Duration("stream-window", 0,
 		"coalesce points finishing within this window into one stream upload (0 = one upload per point)")
 	streamBatch := flag.Int("stream-batch", 16,
@@ -63,7 +63,6 @@ func main() {
 	if *id != "" {
 		w.ID = *id
 	}
-	w.Poll = *poll
 	w.BatchWindow = *streamWindow
 	w.BatchMax = *streamBatch
 	w.Logf = log.Printf

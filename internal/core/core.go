@@ -260,6 +260,17 @@ func New(cfg Config) *Testbed {
 	return tb
 }
 
+// Close folds the testbed's last PDES counters into the process-wide
+// aggregate and releases its network's PDES workers. Whoever built the
+// testbed closes it once it will not run again. Safe on nil.
+func (tb *Testbed) Close() {
+	if tb == nil {
+		return
+	}
+	tb.flushPDES()
+	tb.Net.Close()
+}
+
 // HostNames lists all hosts (sorted).
 func (tb *Testbed) HostNames() []string {
 	out := make([]string, 0, len(tb.hosts))

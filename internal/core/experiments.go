@@ -464,6 +464,7 @@ func section3ApplicationsOn(ctx context.Context, tb *Testbed) ([]AppRow, error) 
 	// Video: 270 Mbit/s D1 stream (drives the kernel directly, so it
 	// always runs on a private testbed).
 	vtb := New(tb.Cfg)
+	defer vtb.Close()
 	onyx, err := vtb.Host(HostOnyx2)
 	if err != nil {
 		return nil, err

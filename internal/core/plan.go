@@ -87,8 +87,10 @@ func (p *Plan) Run(ctx context.Context, o Options) (Report, error) {
 	tb := o.Testbed
 	if tb == nil {
 		tb = New(Config{WAN: o.WAN, Extensions: o.Extensions, Kernels: o.Kernels, Intra: o.Intra})
+		defer tb.Close()
+	} else {
+		defer tb.flushPDES()
 	}
-	defer tb.flushPDES()
 	return p.scenario.Run(ctx, tb, o)
 }
 

@@ -258,6 +258,7 @@ func (sw *Sweep) Run(ctx context.Context, tb *Testbed, opts Options) (Report, er
 			}
 			if shardTb == nil && !sw.noTestbed {
 				shardTb = New(shardCfg)
+				defer shardTb.Close()
 			}
 			run.RunShard(ctx, s, fmt.Sprintf("shard-%d", s), shardTb)
 		}(s)
@@ -635,6 +636,7 @@ func (sw *Sweep) RunLease(ctx context.Context, opts Options, lo, hi int) ([]any,
 		return nil, nil, fmt.Errorf("core: sweep %q: lease [%d,%d) outside grid of %d points", sw.name, lo, hi, len(pts))
 	}
 	tb := sw.NewShardTestbed(opts)
+	defer tb.Close()
 	vals := make([]any, hi-lo)
 	errStrs := make([]string, hi-lo)
 	for i := lo; i < hi; i++ {

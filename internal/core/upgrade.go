@@ -38,7 +38,7 @@ func backboneAggregate(wan atm.OC, flows, kernels int, intra bool) (AggregateRow
 		return AggregateRow{}, fmt.Errorf("core: 1..4 flows supported, got %d", flows)
 	}
 	tb := New(Config{WAN: wan, Kernels: kernels, Intra: intra})
-	defer tb.flushPDES()
+	defer tb.Close()
 	srcs := []string{HostWSJuelich, HostWS2Juelich, HostWS3Juelich, HostWS4Juelich}
 	dsts := []string{HostWSGMD, HostWS2GMD, HostWS3GMD, HostWS4GMD}
 	var fl []*tcpsim.Flow
@@ -96,7 +96,7 @@ func MixedTraffic(wan atm.OC) (MixedTrafficResult, error) {
 // byte-identical at any kernel count.
 func mixedTraffic(wan atm.OC, kernels int, intra bool) (MixedTrafficResult, error) {
 	tb := New(Config{WAN: wan, Kernels: kernels, Intra: intra})
-	defer tb.flushPDES()
+	defer tb.Close()
 	onyx, err := tb.Host(HostOnyx2)
 	if err != nil {
 		return MixedTrafficResult{}, err

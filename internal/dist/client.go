@@ -24,13 +24,16 @@ type Client struct {
 	Token string
 	// HTTP is the client to use (default: 30s-timeout client).
 	HTTP *http.Client
-	// Poll is the job-poll interval (default 100ms).
-	Poll time.Duration
 }
 
 // defaultHTTPClient serves Clients and Workers that did not bring
 // their own; a shared value keeps concurrent use race-free.
 var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
+
+// retryInterval paces the protocol's retries: a worker's backoff after
+// a transient coordinator error, and Wait's re-poll of a job when the
+// event stream is unavailable.
+const retryInterval = 100 * time.Millisecond
 
 func (cl *Client) http() *http.Client {
 	if cl.HTTP != nil {
@@ -92,12 +95,9 @@ func (cl *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// Wait polls the job until it reaches a terminal state or ctx ends.
+// Wait polls the job every retryInterval until it reaches a terminal
+// state or ctx ends; it is WaitStream's fallback.
 func (cl *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
-	poll := cl.Poll
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
 	for {
 		st, err := cl.Job(ctx, id)
 		if err != nil {
@@ -106,9 +106,7 @@ func (cl *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 		if st.Status == JobDone || st.Status == JobFailed {
 			return st, nil
 		}
-		select {
-		case <-time.After(poll):
-		case <-ctx.Done():
+		if !sleepCtx(ctx, retryInterval) {
 			return nil, ctx.Err()
 		}
 	}
@@ -204,7 +202,7 @@ func (cl *Client) WaitStream(ctx context.Context, id string, onFallback func(err
 	return fallback(err)
 }
 
-// Run submits a job and waits for it.
+// Run submits a job and waits for it on the event stream.
 func (cl *Client) Run(ctx context.Context, req JobRequest) (*JobStatus, error) {
 	st, err := cl.Submit(ctx, req)
 	if err != nil {
@@ -213,7 +211,7 @@ func (cl *Client) Run(ctx context.Context, req JobRequest) (*JobStatus, error) {
 	if st.Status == JobDone || st.Status == JobFailed {
 		return st, nil
 	}
-	return cl.Wait(ctx, st.ID)
+	return cl.WaitStream(ctx, st.ID, nil)
 }
 
 // Status fetches the coordinator snapshot.

@@ -21,11 +21,9 @@ import (
 // Config tunes a Coordinator.
 type Config struct {
 	// LeaseTTL is how long a worker may hold a lease without
-	// heartbeating before its points are requeued (default 10s).
+	// heartbeating before its points are requeued (default 10s). It also
+	// bounds how long an idle lease request is held (see leaseHold).
 	LeaseTTL time.Duration
-	// Poll is the idle-poll interval hint handed to workers (default
-	// 200ms).
-	Poll time.Duration
 	// LocalShards is the number of in-process shards the coordinator
 	// itself contributes to every distributed job, stealing from the
 	// same queue as the remote workers. 0 defaults to 1 (so a
@@ -86,9 +84,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 200 * time.Millisecond
 	}
 	if cfg.LocalShards == 0 {
 		cfg.LocalShards = 1
@@ -197,6 +192,9 @@ type Coordinator struct {
 	leases  map[leaseKey]*leaseRec
 	rates   map[string]float64 // cross-job worker throughput EWMAs
 	jobSeq  int
+	// grantable is closed (and replaced) whenever work a lease request
+	// could be granted may have appeared; held lease requests wait on it.
+	grantable chan struct{}
 
 	// store is the content-addressed point store; it has its own lock
 	// and is safe to touch without c.mu.
@@ -243,13 +241,14 @@ func New(cfg Config) *Coordinator {
 	// exports.
 	core.EnablePDESBlockedTelemetry()
 	c := &Coordinator{
-		cfg:      cfg.withDefaults(),
-		jobs:     make(map[string]*job),
-		workers:  make(map[string]*workerState),
-		leases:   make(map[leaseKey]*leaseRec),
-		rates:    make(map[string]float64),
-		inflight: make(map[string]int),
-		stopped:  make(chan struct{}),
+		cfg:       cfg.withDefaults(),
+		jobs:      make(map[string]*job),
+		workers:   make(map[string]*workerState),
+		leases:    make(map[leaseKey]*leaseRec),
+		rates:     make(map[string]float64),
+		inflight:  make(map[string]int),
+		grantable: make(chan struct{}),
+		stopped:   make(chan struct{}),
 	}
 	c.pstore = c.cfg.Store
 	if c.pstore == nil {
@@ -597,13 +596,29 @@ func countTrue(bs []bool) int {
 // retireLeaseLocked removes a lease from the outstanding table and
 // returns its points to the tenant's in-flight budget. The inflight
 // entry stays at zero rather than being deleted, so the scrape-time
-// gauge sync sees the drop instead of a stale last value.
+// gauge sync sees the drop instead of a stale last value. Held lease
+// requests are woken: the tenant may be back under its cap.
 func (c *Coordinator) retireLeaseLocked(k leaseKey, rec *leaseRec) {
 	delete(c.leases, k)
 	name := rec.job.tenant.Name
 	if c.inflight[name] -= rec.lease.Points(); c.inflight[name] < 0 {
 		c.inflight[name] = 0
 	}
+	c.wakeLeasesLocked()
+}
+
+// wakeLeasesLocked has every held lease request try a grant again once
+// c.mu is free, so the caller may finish its update (a requeue) first.
+func (c *Coordinator) wakeLeasesLocked() {
+	close(c.grantable)
+	c.grantable = make(chan struct{})
+}
+
+// leaseHold is how long an idle lease request waits for work before its
+// 204: half the lease TTL, so a waiting worker is seen twice per TTL,
+// and at most half the default HTTP timeout, beating the worker's.
+func (c *Coordinator) leaseHold() time.Duration {
+	return min(c.cfg.LeaseTTL/2, defaultHTTPClient.Timeout/2)
 }
 
 // jobKey is the tenant+scenario+options identity used to share
@@ -774,7 +789,7 @@ func (c *Coordinator) execute(j *job) {
 // runDistributed evaluates a plan's grid through the shared
 // work-stealing queue: grid points already in the content-addressed
 // store are prefilled (never leased), and the coordinator's local
-// shards plus every polling worker lease the rest until the grid
+// shards plus every idle worker lease the rest until the grid
 // drains.
 func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Plan) (core.Report, error) {
 	sw := plan.Sweep()
@@ -900,6 +915,7 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 	j.keys = keys
 	j.pointsTotal = n
 	j.pointHits.Store(int64(hits))
+	c.wakeLeasesLocked()
 	c.mu.Unlock()
 	if hits > 0 {
 		j.mHit.Add(int64(hits))
@@ -920,7 +936,9 @@ func (c *Coordinator) runDistributed(ctx context.Context, j *job, plan *core.Pla
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			run.RunShard(ctx, s, "local-"+strconv.Itoa(s), sw.NewShardTestbed(execOpts))
+			tb := sw.NewShardTestbed(execOpts)
+			defer tb.Close()
+			run.RunShard(ctx, s, "local-"+strconv.Itoa(s), tb)
 		}(s)
 	}
 	waitErr := run.Wait(ctx)
@@ -1171,12 +1189,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, t *
 	c.audit(t.Name, "worker-register", "", req.WorkerID)
 	c.events.publish(Event{Type: "worker", Worker: req.WorkerID, Tenant: t.Name})
 	c.cfg.Logf("dist: worker %s registered", req.WorkerID)
-	writeJSON(w, http.StatusOK, RegisterReply{
-		LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds(),
-		PollMS:     c.cfg.Poll.Milliseconds(),
-	})
+	writeJSON(w, http.StatusOK, RegisterReply{LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds()})
 }
 
+// handleLease grants the next work unit, or holds the request until
+// grantable work appears; it answers 204 only once leaseHold passes,
+// the worker goes away, or the coordinator shuts down.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !readJSON(w, r, &req) {
@@ -1186,13 +1204,41 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty worker_id", http.StatusBadRequest)
 		return
 	}
-	c.mu.Lock()
-	c.touchWorkerLocked(req.WorkerID)
-	// Weighted fair share over tenants with grantable work: group the
-	// running distributed jobs by tenant (submit order within a tenant),
-	// drop tenants at their in-flight cap or with drained queues, then
-	// walk tenants in ascending virtual time — the first TryNext that
-	// yields a lease wins and is charged against its tenant's clock.
+	hold := time.NewTimer(c.leaseHold())
+	defer hold.Stop()
+	for {
+		c.mu.Lock()
+		c.touchWorkerLocked(req.WorkerID)
+		reply, ok := c.grantLocked(req.WorkerID)
+		changed := c.grantable
+		c.mu.Unlock()
+		if ok {
+			writeJSON(w, http.StatusOK, reply)
+			return
+		}
+		select {
+		case <-changed:
+			// A request whose worker is gone must not be granted: the
+			// lease would sit unserved until it expired.
+			if r.Context().Err() == nil {
+				continue
+			}
+		case <-hold.C:
+		case <-r.Context().Done():
+		case <-c.stopped:
+		}
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+}
+
+// grantLocked carves a lease for a worker by weighted fair share over
+// tenants with grantable work: group the running distributed jobs by
+// tenant (submit order within a tenant), drop tenants at their
+// in-flight cap or with drained queues, then walk tenants in ascending
+// virtual time — the first TryNext that yields a lease wins and is
+// charged against its tenant's clock.
+func (c *Coordinator) grantLocked(workerID string) (LeaseReply, bool) {
 	var names []string
 	byTenant := make(map[string][]*job)
 	for _, j := range c.order {
@@ -1213,27 +1259,22 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, name := range c.sched.Order(names) {
 		for _, j := range byTenant[name] {
-			l, ok := j.run.Dispatcher().TryNext(req.WorkerID)
+			l, ok := j.run.Dispatcher().TryNext(workerID)
 			if !ok {
 				continue
 			}
-			rec := &leaseRec{job: j, lease: l, expires: time.Now().Add(c.cfg.LeaseTTL)}
-			c.leases[leaseKey{j.id, l.Seq}] = rec
+			c.leases[leaseKey{j.id, l.Seq}] = &leaseRec{job: j, lease: l, expires: time.Now().Add(c.cfg.LeaseTTL)}
 			c.inflight[name] += l.Points()
 			c.sched.Charge(name, l.Points())
 			c.met.leasesGranted.Inc()
-			reply := LeaseReply{
+			return LeaseReply{
 				JobID: j.id, Scenario: j.scenario, Seq: l.Seq,
 				Lo: l.Lo, Hi: l.Hi, Opts: j.wopts,
 				TTLMS: c.cfg.LeaseTTL.Milliseconds(),
-			}
-			c.mu.Unlock()
-			writeJSON(w, http.StatusOK, reply)
-			return
+			}, true
 		}
 	}
-	c.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
+	return LeaseReply{}, false
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -1430,4 +1471,5 @@ func (c *Coordinator) abandon(rec *leaseRec) {
 	if rec.job.run != nil {
 		rec.job.run.Abandon(rec.lease, rec.streamed)
 	}
+	c.wakeLeasesLocked()
 }

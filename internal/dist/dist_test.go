@@ -64,9 +64,6 @@ func newCluster(t *testing.T, cfg Config) *testCluster {
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 500 * time.Millisecond
 	}
-	if cfg.Poll == 0 {
-		cfg.Poll = 10 * time.Millisecond
-	}
 	cfg.Logf = t.Logf
 	c := New(cfg)
 	srv := httptest.NewServer(c.Handler())
@@ -76,7 +73,7 @@ func newCluster(t *testing.T, cfg Config) *testCluster {
 	})
 	return &testCluster{
 		c: c, srv: srv,
-		cl: &Client{Base: srv.URL, Poll: 10 * time.Millisecond},
+		cl: &Client{Base: srv.URL},
 	}
 }
 

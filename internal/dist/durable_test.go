@@ -376,7 +376,7 @@ func TestBatchStreamingCoalescesUploads(t *testing.T) {
 	registerWireSweep("dist-test-batch", 16, 2*time.Millisecond)
 	var bodies, streamed atomic.Int64
 	var maxBody atomic.Int64
-	cfg := Config{LocalShards: -1, LeaseTTL: 500 * time.Millisecond, Poll: 10 * time.Millisecond, Logf: t.Logf}
+	cfg := Config{LocalShards: -1, LeaseTTL: 500 * time.Millisecond, Logf: t.Logf}
 	c := New(cfg)
 	count := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/workers/points" {
@@ -402,7 +402,7 @@ func TestBatchStreamingCoalescesUploads(t *testing.T) {
 		c.Close()
 		srv.Close()
 	})
-	tc := &testCluster{c: c, srv: srv, cl: &Client{Base: srv.URL, Poll: 10 * time.Millisecond}}
+	tc := &testCluster{c: c, srv: srv, cl: &Client{Base: srv.URL}}
 
 	w := NewWorker("")
 	w.BatchWindow = 10 * time.Second // points finish in ms: only BatchMax flushes

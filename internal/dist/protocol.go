@@ -35,10 +35,16 @@
 //	GET  /v1/events              SSE stream of Event frames
 //	GET  /healthz                liveness               -> "ok"
 //	POST /v1/workers/register    announce a worker      -> RegisterReply
-//	POST /v1/workers/lease       pull a work unit       -> LeaseReply | 204
+//	POST /v1/workers/lease       pull a work unit       -> LeaseReply | 204 (held; see below)
 //	POST /v1/workers/heartbeat   extend a held lease    -> HeartbeatReply
 //	POST /v1/workers/points      stream finished points -> PointsReply
 //	POST /v1/workers/result      complete a lease       -> ResultReply
+//
+// A lease request with nothing to grant is held until grantable work
+// appears (a job publishes its grid, a lease completes or expires, a
+// tenant drops below its in-flight cap); 204 comes only after half the
+// lease TTL (at most 15 s), on worker disconnect, or on shutdown. So an
+// idle worker never polls, and a new job reaches it within a round trip.
 //
 // A lease not heartbeaten within its TTL is requeued — but points the
 // worker already streamed are kept, so a worker dying late in a lease
@@ -154,7 +160,6 @@ type RegisterRequest struct {
 // RegisterReply tunes the worker's loop.
 type RegisterReply struct {
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	PollMS     int64 `json:"poll_ms"`
 }
 
 // LeaseRequest pulls the next work unit for a worker.

@@ -29,7 +29,7 @@ func mustRegistry(t *testing.T, tenants ...*tenant.Tenant) *tenant.Registry {
 
 // authedClient is a Client bound to one tenant's token.
 func (tc *testCluster) authedClient(token string) *Client {
-	return &Client{Base: tc.srv.URL, Token: token, Poll: 10 * time.Millisecond}
+	return &Client{Base: tc.srv.URL, Token: token}
 }
 
 // postAs posts a JSON body with a token and returns the status code.

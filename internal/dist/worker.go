@@ -34,11 +34,9 @@ type Worker struct {
 	// -tenants); sent as "Authorization: Bearer <token>" on every
 	// request. Empty sends no header.
 	Token string
-	// Client is the HTTP client (default: 30s-timeout client).
+	// Client is the HTTP client (default: 30s-timeout client); its
+	// timeout must exceed the coordinator's lease hold (at most 15 s).
 	Client *http.Client
-	// Poll is the idle-poll interval; the coordinator's register reply
-	// overrides it.
-	Poll time.Duration
 	// BatchWindow coalesces points finishing within this window into one
 	// streamed POST /v1/workers/points body, cutting the per-point HTTP
 	// round trips of fine-grained sweeps. 0 streams each point the
@@ -65,10 +63,6 @@ type Worker struct {
 	// simulating a worker killed partway through a lease it had been
 	// streaming. Test hook for the streamed-tail fault suite.
 	DropAfterPoints func(l LeaseReply, streamed int) bool
-	// BeforeUpload, when set, runs after evaluation and before the
-	// result upload. Test hook (e.g. to double-upload for idempotency
-	// tests).
-	BeforeUpload func(up *ResultUpload)
 	// TestbedCacheSize caps the testbed LRU (default 4 distinct
 	// configurations).
 	TestbedCacheSize int
@@ -154,40 +148,39 @@ func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, e
 }
 
 // Run registers with the coordinator and serves leases until ctx is
-// cancelled. Transient coordinator errors are retried with the poll
-// interval as backoff.
+// cancelled. An idle lease request is held by the coordinator until
+// work appears, so the loop never sleeps between leases; transient
+// coordinator errors are retried after retryInterval.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.Poll <= 0 {
-		w.Poll = 200 * time.Millisecond
-	}
 	for {
 		var reg RegisterReply
 		_, err := w.postJSON(ctx, "/v1/workers/register", RegisterRequest{WorkerID: w.ID}, &reg)
 		if err == nil {
-			if reg.PollMS > 0 {
-				w.Poll = time.Duration(reg.PollMS) * time.Millisecond
-			}
 			w.ttl = time.Duration(reg.LeaseTTLMS) * time.Millisecond
 			break
 		}
 		w.logf("dist: worker %s: register: %v (retrying)", w.ID, err)
-		if !sleepCtx(ctx, w.Poll) {
+		if !sleepCtx(ctx, retryInterval) {
 			return ctx.Err()
 		}
 	}
-	w.logf("dist: worker %s serving %s (poll %s, lease ttl %s)", w.ID, w.Coordinator, w.Poll, w.ttl)
+	w.logf("dist: worker %s serving %s (lease ttl %s)", w.ID, w.Coordinator, w.ttl)
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		asked := time.Now()
 		var lease LeaseReply
 		code, err := w.postJSON(ctx, "/v1/workers/lease", LeaseRequest{WorkerID: w.ID}, &lease)
 		switch {
 		case err != nil:
-			w.logf("dist: worker %s: lease poll: %v", w.ID, err)
+			w.logf("dist: worker %s: lease request: %v", w.ID, err)
 			fallthrough
 		case code == http.StatusNoContent:
-			if !sleepCtx(ctx, w.Poll) {
+			// A held request comes back empty only after the hold; one
+			// that fails or returns sooner (a coordinator shutting down)
+			// waits out the rest of retryInterval, so nothing spins.
+			if !sleepCtx(ctx, retryInterval-time.Since(asked)) {
 				return ctx.Err()
 			}
 			continue
@@ -245,6 +238,7 @@ func (w *Worker) leaseTestbed(sw *core.Sweep, opts core.Options) *core.Testbed {
 				oldest, first = k, false
 			}
 		}
+		w.tbCache[oldest].tb.Close()
 		delete(w.tbCache, oldest)
 	}
 	e := &tbEntry{tb: core.New(key.cfg), lastUsed: w.tbClock}
@@ -341,9 +335,6 @@ func (w *Worker) serveLease(ctx context.Context, lease LeaseReply) {
 	}
 	up.ElapsedNS = time.Since(start).Nanoseconds()
 	stopHB()
-	if w.BeforeUpload != nil {
-		w.BeforeUpload(&up)
-	}
 	w.upload(ctx, &up)
 }
 
@@ -405,7 +396,7 @@ func (w *Worker) upload(ctx context.Context, up *ResultUpload) {
 			return
 		}
 		w.logf("dist: worker %s: upload %s/%d failed: %v (retrying)", w.ID, up.JobID, up.Seq, err)
-		if !sleepCtx(ctx, w.Poll) {
+		if !sleepCtx(ctx, retryInterval) {
 			return
 		}
 	}

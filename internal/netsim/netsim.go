@@ -711,6 +711,15 @@ func (n *Network) SyncStats() pdes.Stats {
 	return n.group.Stats()
 }
 
+// Close releases a partitioned network's PDES worker goroutines, each
+// of which otherwise parks forever holding the network. Call once the
+// network will not Run again; a no-op before Partition.
+func (n *Network) Close() {
+	if n.group != nil {
+		n.group.Close()
+	}
+}
+
 // SetBlockedTelemetry enables wall-clock measurement of per-kernel
 // barrier wait time in SyncStats (pdes.Group.SetBlockedTelemetry). A
 // no-op before Partition. Quiescent-only.

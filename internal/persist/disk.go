@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -332,17 +333,12 @@ func (d *Disk) Snapshot() error {
 // (empty) log, delete the old one.
 func (d *Disk) snapshotLocked() error {
 	next := d.gen + 1
-	snap := diskSnapshot{Gen: next, State: d.m.state()}
-	b, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("persist: marshaling snapshot: %w", err)
-	}
 	tmp := d.snapshotPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if _, err = f.Write(b); err == nil {
+	if err = d.m.writeSnapshot(f, next); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -368,6 +364,48 @@ func (d *Disk) snapshotLocked() error {
 	}
 	os.Remove(oldPath)
 	return nil
+}
+
+// writeSnapshot writes the mirror as generation gen's snapshot.json,
+// record by record through a buffer: the bytes are those of
+// json.Marshal(&diskSnapshot{Gen: gen, State: m.state()}), without
+// holding a copy of the state or the whole document in memory.
+func (m *mirror) writeSnapshot(w io.Writer, gen uint64) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, `{"gen":%d,"state":{`, gen)
+	sep := "" // written before State's next non-empty field
+	var err error
+	// field writes one of State's omitempty arrays; rec yields its n
+	// records in order.
+	field := func(name string, n int, rec func(i int) any) {
+		for i := 0; i < n && err == nil; i++ {
+			var b []byte
+			if b, err = json.Marshal(rec(i)); err != nil {
+				return
+			}
+			if i == 0 {
+				bw.WriteString(sep + `"` + name + `":[`)
+				sep = ","
+			} else {
+				bw.WriteByte(',')
+			}
+			bw.Write(b)
+		}
+		if n > 0 {
+			bw.WriteByte(']')
+		}
+	}
+	field("jobs", len(m.jobIDs), func(i int) any { return m.jobs[m.jobIDs[i]] })
+	workers := sortedKeys(m.workers)
+	field("workers", len(workers), func(i int) any { return m.workers[workers[i]] })
+	el := m.points.Back() // oldest first, as state() lists them
+	field("points", m.points.Len(), func(int) any { v := el.Value; el = el.Prev(); return v })
+	field("audit", len(m.audit), func(i int) any { return &m.audit[i] })
+	if err != nil {
+		return fmt.Errorf("persist: marshaling snapshot: %w", err)
+	}
+	bw.WriteString("}}")
+	return bw.Flush()
 }
 
 // snapshotLoop compacts the log on the configured interval.

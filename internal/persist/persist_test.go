@@ -336,3 +336,44 @@ func TestDiskConcurrentAppends(t *testing.T) {
 		t.Errorf("points after concurrent appends = %d, want %d", len(st.Points), 8*50)
 	}
 }
+
+// The streamed snapshot must be exactly the document json.Marshal
+// would build from the whole state, so recovery reads it unchanged.
+func TestStreamedSnapshotMatchesMarshal(t *testing.T) {
+	full := newMirror()
+	for i := 0; i < 3; i++ {
+		full.putJob(JobRecord{ID: fmt.Sprintf("job-%d", i), Scenario: "fmri-dataflow", Status: "done",
+			Tenant: "climate", Opts: json.RawMessage(`{ "pes": 256 }`),
+			Report: json.RawMessage(`{"Rows": [1, 2.5e-3, "a<b&c"]}`),
+			Text:   "mean <GUI> delay &   more\n", Timings: json.RawMessage(`[{"shard":0}]`),
+			Cached: i%2 == 0, PointsTotal: 3, PointsDone: 3, PointHits: i, ElapsedMS: int64(10 * i)})
+	}
+	full.deleteJob("job-1")
+	full.putWorker(WorkerRecord{ID: "w-b", Points: 7, RatePPS: 1e-7})
+	full.putWorker(WorkerRecord{ID: "w-a", Points: 3})
+	for i := 0; i < 50; i++ {
+		full.putPoint(fmt.Sprintf("key-%02d", i%20), bytes.Repeat([]byte{byte(i)}, i))
+	}
+	full.deletePoint("key-03")
+	for i := 0; i < maxAuditRecords+10; i++ {
+		full.appendAudit(AuditRecord{TimeMS: int64(i), Action: "job-submit", Detail: "<script>"})
+	}
+	pointsOnly := newMirror()
+	pointsOnly.putPoint("k", []byte("v"))
+	auditOnly := newMirror()
+	auditOnly.appendAudit(AuditRecord{TimeMS: 1, Action: "auth-reject"})
+
+	for name, m := range map[string]*mirror{"full": full, "empty": newMirror(), "points-only": pointsOnly, "audit-only": auditOnly} {
+		want, err := json.Marshal(&diskSnapshot{Gen: 42, State: m.state()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := m.writeSnapshot(&got, 42); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: streamed snapshot differs from json.Marshal:\n got %.300s\nwant %.300s", name, got.Bytes(), want)
+		}
+	}
+}
